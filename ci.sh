@@ -11,6 +11,12 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+echo "== benchmark self-check (perfbench: injected failures counted, every workload smoked) =="
+# Builds the benchmark runner, checks that injected wrong outputs are
+# counted as failures, and runs each workload briefly, traced and
+# untraced, with every metric BENCHMARK.json declares present.
+python3 perfbench/run.py --self-check
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune fmt check =="
   dune build @fmt

@@ -71,7 +71,7 @@ val emit : event -> unit
 
 (** {1 Emission helpers used by kernel code} *)
 
-val vop : ?slots:int -> string -> unit
+val vop : slots:int -> string -> unit
 
 val sop : ?count:int -> string -> unit
 

@@ -24,15 +24,29 @@ let stages =
       strides (k / 2))
     [ 2; 4; 8; 16 ]
 
+(* The stage tables as arrays, indexed by stage. *)
+let perms = Array.of_list (List.map fst stages)
+
+let keep_mins = Array.of_list (List.map snd stages)
+
+let check_lanes v = if Array.length v <> lanes then invalid_arg "bitonic: expected 16 lanes"
+
+(* Sort [v] in place.  Per stage, [partner] takes the shuffled lanes and
+   then the maxima, [lo] the minima, and the select writes back into [v];
+   the min/max/select are lane-wise, so they may overwrite an input. *)
+let sort_in_place v ~partner ~lo =
+  for s = 0 to Array.length perms - 1 do
+    Aie.Intrinsics.fpshuffle_into partner v perms.(s);
+    Aie.Intrinsics.fpmin_into lo v partner;
+    Aie.Intrinsics.fpmax_into partner v partner;
+    Aie.Intrinsics.fpselect_into v keep_mins.(s) lo partner
+  done
+
 let sort_vector v =
-  if Array.length v <> lanes then invalid_arg "bitonic: expected 16 lanes";
-  List.fold_left
-    (fun v (perm, keep_min) ->
-      let partner = Aie.Intrinsics.fpshuffle v perm in
-      let lo = Aie.Intrinsics.fpmin v partner in
-      let hi = Aie.Intrinsics.fpmax v partner in
-      Aie.Intrinsics.fpselect keep_min lo hi)
-    v stages
+  check_lanes v;
+  let out = Array.copy v in
+  sort_in_place out ~partner:(Array.create_float lanes) ~lo:(Array.create_float lanes);
+  out
 
 let kernel =
   Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"bitonic_kernel"
@@ -44,12 +58,17 @@ let kernel =
     ]
     (fun b ->
       let input = Cgsim.Kernel.rd b 0 and output = Cgsim.Kernel.wr b 0 in
+      let v = Array.create_float lanes in
+      let partner = Array.create_float lanes and lo = Array.create_float lanes in
       while true do
         Aie.Trace.mark_iteration ();
-        let v = Cgsim.Port.get_window_f32 input lanes in
-        let sorted = sort_vector v in
+        let w = Cgsim.Port.get_window_f32 input lanes in
+        check_lanes w;
+        Array.blit w 0 v 0 lanes;
+        sort_in_place v ~partner ~lo;
         Aie.Intrinsics.scalar_op ~count:2 "blk_ctl";
-        Cgsim.Port.put_window_f32 output sorted
+        (* The put copies [v] out, so the next block may reuse it. *)
+        Cgsim.Port.put_window_f32 output v
       done)
 
 let () = Cgsim.Registry.register kernel

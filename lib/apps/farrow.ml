@@ -31,6 +31,12 @@ let stage1 =
          the scalar reference). *)
       let history = Array.make (taps - 1) 0 in
       let groups = samples_per_window / group in
+      (* Each coefficient broadcast once, and one group's loads,
+         accumulator and sub-filter outputs, reused by every group. *)
+      let coeff_splats = Array.map (Array.map (Aie.Vec.isplat group)) coeffs in
+      let x = Array.init taps (fun _ -> Array.make group 0) in
+      let acc = Array.make group 0 in
+      let c = Array.map (fun _ -> Array.make group 0) coeffs in
       while true do
         Aie.Trace.mark_iteration ();
         let samples = Cgsim.Port.get_window_int input samples_per_window in
@@ -41,18 +47,16 @@ let stage1 =
             let base = g * group in
             (* One shifted 32-lane load per tap, shared by all four
                sub-filters. *)
-            let x = Array.init taps (fun k -> Aie.Intrinsics.load_i16 ext (base + k) group) in
-            let c =
-              Array.map
-                (fun row ->
-                  let acc = ref (Aie.Vec.isplat group 0) in
-                  for k = 0 to taps - 1 do
-                    acc :=
-                      Aie.Intrinsics.mac16 !acc x.(k) (Aie.Vec.isplat group row.(k))
-                  done;
-                  Aie.Intrinsics.srs16 ~shift:15 !acc)
-                coeffs
-            in
+            for k = 0 to taps - 1 do
+              Aie.Intrinsics.load_i16_into x.(k) ext (base + k)
+            done;
+            for r = 0 to Array.length coeff_splats - 1 do
+              Array.fill acc 0 group 0;
+              for k = 0 to taps - 1 do
+                Aie.Intrinsics.mac16_into acc acc x.(k) coeff_splats.(r).(k)
+              done;
+              Aie.Intrinsics.srs16_into c.(r) ~shift:15 acc
+            done;
             Aie.Intrinsics.scalar_op ~count:2 "addr";
             (* stage2 drains c01/c23 interleaved per sample, so a
                whole-group burst on one port before the other would

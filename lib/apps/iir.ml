@@ -46,6 +46,10 @@ let kernel =
       let state = Array.map (fun _ -> [| 0.0; 0.0; 0.0; 0.0 |]) sections in
       let groups = samples_per_window / group in
       let buf = Array.make samples_per_window 0.0 in
+      (* One group's input, accumulator and broadcast operand, reused by
+         every group: the fpmac chain accumulates in place. *)
+      let x = Array.create_float group in
+      let acc = Array.create_float group and splat = Array.create_float group in
       while true do
         Aie.Trace.mark_iteration ();
         let win = Cgsim.Port.get_window_f32 input samples_per_window in
@@ -54,24 +58,26 @@ let kernel =
           (fun si m ->
             let st = state.(si) in
             Aie.Trace.with_pipelined_loop ~trip:groups (fun g ->
-                let x = Aie.Intrinsics.load_f32 buf (g * group) group in
-                let acc = ref (Aie.Intrinsics.fpsplat group 0.0) in
+                Aie.Intrinsics.load_f32_into x buf (g * group);
+                Aie.Intrinsics.fpsplat_into acc 0.0;
                 for j = 0 to 3 do
-                  acc := Aie.Intrinsics.fpmac !acc (Aie.Vec.fsplat group st.(j)) m.(j)
+                  Aie.Vec.fsplat_into splat st.(j);
+                  Aie.Intrinsics.fpmac_into acc acc splat m.(j)
                 done;
                 for k = 0 to group - 1 do
-                  acc := Aie.Intrinsics.fpmac !acc (Aie.Vec.fsplat group x.(k)) m.(4 + k)
+                  Aie.Vec.fsplat_into splat x.(k);
+                  Aie.Intrinsics.fpmac_into acc acc splat m.(4 + k)
                 done;
-                let y = !acc in
                 (* Update boundary state: y1 y2 x1 x2. *)
-                st.(1) <- y.(group - 2);
-                st.(0) <- y.(group - 1);
+                st.(1) <- acc.(group - 2);
+                st.(0) <- acc.(group - 1);
                 st.(3) <- x.(group - 2);
                 st.(2) <- x.(group - 1);
                 Aie.Intrinsics.scalar_op ~count:4 "state";
-                Aie.Intrinsics.store_f32 buf (g * group) y))
+                Aie.Intrinsics.store_f32 buf (g * group) acc))
           matrices;
         Aie.Intrinsics.scalar_op ~count:4 "win_ctl";
+        (* The put copies [buf] out, so the next window may reuse it. *)
         Cgsim.Port.put_window_f32 output buf
       done)
 

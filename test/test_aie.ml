@@ -59,9 +59,83 @@ let test_vec_f32_rounding () =
   let r = Aie.Vec.fadd [| big |] [| 1.0 |] in
   Alcotest.(check (float 0.0)) "f32 precision loss" big r.(0)
 
+let test_vec_fsum_f32_tree () =
+  (* Pairwise: (2^24 + 1) + (1 + 0), each add rounded to f32, stays at
+     2^24; summed in f64 the same lanes give 2^24 + 2. *)
+  let v = [| 16777216.0; 1.0; 1.0; 0.0 |] in
+  Alcotest.(check (float 0.0)) "f32 tree" 16777216.0 (Aie.Vec.fsum v);
+  Alcotest.(check bool) "differs from the f64 sum" true
+    (Aie.Vec.fsum v <> Array.fold_left ( +. ) 0.0 v);
+  Alcotest.(check (float 0.0)) "no lanes" 0.0 (Aie.Vec.fsum [||]);
+  Alcotest.(check (float 0.0)) "odd lane count" 6.0 (Aie.Vec.fsum [| 1.0; 2.0; 3.0 |])
+
 (* ------------------------------------------------------------------ *)
-(* Intrinsics: cost emission                                          *)
+(* Vec: differential check against scalar reference loops             *)
 (* ------------------------------------------------------------------ *)
+
+let r32 = Cgsim.Value.round_f32
+
+type vcase = {
+  fa : float array;
+  fb : float array;
+  fc : float array;
+  mask : bool array;
+  idx : int array;  (* lanes of [fa]/[ia] to shuffle, any count 1-64 *)
+  ia : int array;
+  ib : int array;
+  ic : int array;
+  shift : int;
+  dtype : Cgsim.Dtype.t;
+}
+
+let special_floats =
+  [|
+    Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity; 16777216.0; 16777217.0;
+    16777215.0; -16777216.0; 16777218.0; 0.5; -1.0;
+  |]
+
+let gen_vcase =
+  let open QCheck.Gen in
+  let f32 =
+    frequency
+      [
+        2, oneofa special_floats;
+        2, map r32 (float_range (-1e6) 1e6);
+        1, map r32 (float_range (-3.4e7) 3.4e7);
+      ]
+  in
+  let i = int_range (-(1 lsl 20)) (1 lsl 20) in
+  int_range 1 64 >>= fun n ->
+  int_range 1 64 >>= fun m ->
+  array_repeat n f32 >>= fun fa ->
+  array_repeat n f32 >>= fun fb ->
+  array_repeat n f32 >>= fun fc ->
+  array_repeat n bool >>= fun mask ->
+  array_repeat m (int_range 0 (n - 1)) >>= fun idx ->
+  array_repeat n i >>= fun ia ->
+  array_repeat n i >>= fun ib ->
+  array_repeat n i >>= fun ic ->
+  int_range 0 20 >>= fun shift ->
+  oneofl Cgsim.Dtype.[ I8; I16; I32; I64; U8; U16 ] >|= fun dtype ->
+  { fa; fb; fc; mask; idx; ia; ib; ic; shift; dtype }
+
+let print_vcase c =
+  let fs a = String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+  let is a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "fa=[%s] fb=[%s] fc=[%s] idx=[%s] ia=[%s] ib=[%s] ic=[%s] shift=%d dtype=%s"
+    (fs c.fa) (fs c.fb) (fs c.fc) (is c.idx) (is c.ia) (is c.ib) (is c.ic) c.shift
+    (Cgsim.Dtype.to_string c.dtype)
+
+(* Bit-for-bit, so -0.0 <> 0.0, except that any NaN equals any NaN: which
+   operand's NaN payload an x86 add propagates depends on the order the
+   compiler emits the operands in. *)
+let same_floats a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         (Float.is_nan x && Float.is_nan y)
+         || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
 
 let with_recording f =
   let r = Aie.Trace.create_recorder () in
@@ -73,6 +147,200 @@ let with_recording f =
       Aie.Trace.unbind "<host>")
     f;
   Aie.Trace.events r
+
+let prop_vec_matches_scalar =
+  QCheck.Test.make ~name:"Vec ops and _into variants == scalar loops" ~count:500
+    (QCheck.make ~print:print_vcase gen_vcase)
+    (fun c ->
+      let n = Array.length c.fa in
+      let lanes f = Array.init n f in
+      let fails = ref [] in
+      let check name ok = if not ok then fails := name :: !fails in
+      let cf name got want = check name (same_floats got want) in
+      let ci name (got : int array) want = check name (got = want) in
+      (* Destinations start as garbage so an unwritten lane shows. *)
+      let fdst len = Array.make len 42.0 and idst len = Array.make len 42 in
+      let into_f len f = let d = fdst len in f d; d in
+      let into_i len f = let d = idst len in f d; d in
+      let fmin_ref = lanes (fun i -> if c.fa.(i) <= c.fb.(i) then c.fa.(i) else c.fb.(i)) in
+      let fmax_ref = lanes (fun i -> if c.fa.(i) >= c.fb.(i) then c.fa.(i) else c.fb.(i)) in
+      let fmac_ref = lanes (fun i -> r32 (c.fc.(i) +. (c.fa.(i) *. c.fb.(i)))) in
+      let fsel_ref = lanes (fun i -> if c.mask.(i) then c.fa.(i) else c.fb.(i)) in
+      let fshuf_ref = Array.map (fun k -> c.fa.(k)) c.idx in
+      let splat_ref = Array.make n (r32 c.fb.(0)) in
+      cf "fadd" (Aie.Vec.fadd c.fa c.fb) (lanes (fun i -> r32 (c.fa.(i) +. c.fb.(i))));
+      cf "fsub" (Aie.Vec.fsub c.fa c.fb) (lanes (fun i -> r32 (c.fa.(i) -. c.fb.(i))));
+      cf "fmul" (Aie.Vec.fmul c.fa c.fb) (lanes (fun i -> r32 (c.fa.(i) *. c.fb.(i))));
+      cf "fmin" (Aie.Vec.fmin c.fa c.fb) fmin_ref;
+      cf "fmax" (Aie.Vec.fmax c.fa c.fb) fmax_ref;
+      cf "fmac" (Aie.Vec.fmac c.fc c.fa c.fb) fmac_ref;
+      cf "fselect" (Aie.Vec.fselect c.mask c.fa c.fb) fsel_ref;
+      cf "fshuffle" (Aie.Vec.fshuffle c.fa c.idx) fshuf_ref;
+      cf "fsplat" (Aie.Vec.fsplat n c.fb.(0)) splat_ref;
+      cf "fmin_into" (into_f n (fun d -> Aie.Vec.fmin_into d c.fa c.fb)) fmin_ref;
+      cf "fmax_into" (into_f n (fun d -> Aie.Vec.fmax_into d c.fa c.fb)) fmax_ref;
+      cf "fmac_into" (into_f n (fun d -> Aie.Vec.fmac_into d c.fc c.fa c.fb)) fmac_ref;
+      cf "fselect_into" (into_f n (fun d -> Aie.Vec.fselect_into d c.mask c.fa c.fb)) fsel_ref;
+      cf "fshuffle_into"
+        (into_f (Array.length c.idx) (fun d -> Aie.Vec.fshuffle_into d c.fa c.idx))
+        fshuf_ref;
+      cf "fsplat_into" (into_f n (fun d -> Aie.Vec.fsplat_into d c.fb.(0))) splat_ref;
+      (* Lane-wise _into variants may write over an input. *)
+      let over src f = let d = Array.copy src in f d; d in
+      cf "fmin_into dst=a" (over c.fa (fun d -> Aie.Vec.fmin_into d d c.fb)) fmin_ref;
+      cf "fmin_into dst=b" (over c.fb (fun d -> Aie.Vec.fmin_into d c.fa d)) fmin_ref;
+      cf "fmax_into dst=b" (over c.fb (fun d -> Aie.Vec.fmax_into d c.fa d)) fmax_ref;
+      cf "fmac_into dst=acc" (over c.fc (fun d -> Aie.Vec.fmac_into d d c.fa c.fb)) fmac_ref;
+      cf "fselect_into dst=a" (over c.fa (fun d -> Aie.Vec.fselect_into d c.mask d c.fb)) fsel_ref;
+      let imac_ref = lanes (fun i -> c.ic.(i) + (c.ia.(i) * c.ib.(i))) in
+      let srs_ref =
+        lanes (fun i ->
+            let half = if c.shift = 0 then 0 else 1 lsl (c.shift - 1) in
+            Cgsim.Value.clamp_int c.dtype ((c.ia.(i) + half) asr c.shift))
+      in
+      ci "isplat" (Aie.Vec.isplat n c.ib.(0)) (Array.make n c.ib.(0));
+      ci "iadd" (Aie.Vec.iadd c.ia c.ib) (lanes (fun i -> c.ia.(i) + c.ib.(i)));
+      ci "isub" (Aie.Vec.isub c.ia c.ib) (lanes (fun i -> c.ia.(i) - c.ib.(i)));
+      ci "imul" (Aie.Vec.imul c.ia c.ib) (lanes (fun i -> c.ia.(i) * c.ib.(i)));
+      ci "imac" (Aie.Vec.imac c.ic c.ia c.ib) imac_ref;
+      ci "ishuffle" (Aie.Vec.ishuffle c.ia c.idx) (Array.map (fun k -> c.ia.(k)) c.idx);
+      ci "srs" (Aie.Vec.srs c.dtype c.shift c.ia) srs_ref;
+      ci "ups" (Aie.Vec.ups c.shift c.ia) (lanes (fun i -> c.ia.(i) lsl c.shift));
+      ci "imac_into" (into_i n (fun d -> Aie.Vec.imac_into d c.ic c.ia c.ib)) imac_ref;
+      ci "imac_into dst=acc" (over c.ic (fun d -> Aie.Vec.imac_into d d c.ia c.ib)) imac_ref;
+      ci "srs_into" (into_i n (fun d -> Aie.Vec.srs_into d c.dtype c.shift c.ia)) srs_ref;
+      ci "srs_into dst=acc" (over c.ia (fun d -> Aie.Vec.srs_into d c.dtype c.shift d)) srs_ref;
+      (* Intrinsics: each _into gives its allocating twin's result and
+         records exactly its event. *)
+      let twin name alloc into =
+        let got_a = ref [||] and got_i = ref [||] in
+        let ev_a = with_recording (fun () -> got_a := alloc ()) in
+        let ev_i = with_recording (fun () -> got_i := into ()) in
+        check (name ^ " events") (ev_a = ev_i && List.length ev_a = 1);
+        check (name ^ " result") (same_floats !got_a !got_i)
+      in
+      let module I = Aie.Intrinsics in
+      twin "fpmin"
+        (fun () -> I.fpmin c.fa c.fb)
+        (fun () -> into_f n (fun d -> I.fpmin_into d c.fa c.fb));
+      twin "fpmax"
+        (fun () -> I.fpmax c.fa c.fb)
+        (fun () -> into_f n (fun d -> I.fpmax_into d c.fa c.fb));
+      twin "fpmac"
+        (fun () -> I.fpmac c.fc c.fa c.fb)
+        (fun () -> into_f n (fun d -> I.fpmac_into d c.fc c.fa c.fb));
+      twin "fpselect"
+        (fun () -> I.fpselect c.mask c.fa c.fb)
+        (fun () -> into_f n (fun d -> I.fpselect_into d c.mask c.fa c.fb));
+      twin "fpshuffle"
+        (fun () -> I.fpshuffle c.fa c.idx)
+        (fun () -> into_f (Array.length c.idx) (fun d -> I.fpshuffle_into d c.fa c.idx));
+      twin "fpsplat"
+        (fun () -> I.fpsplat n c.fb.(0))
+        (fun () -> into_f n (fun d -> I.fpsplat_into d c.fb.(0)));
+      twin "load_f32"
+        (fun () -> I.load_f32 c.fa 0 n)
+        (fun () -> into_f n (fun d -> I.load_f32_into d c.fa 0));
+      let as_floats a = Array.map float_of_int a in
+      twin "mac16"
+        (fun () -> as_floats (I.mac16 c.ic c.ia c.ib))
+        (fun () -> as_floats (into_i n (fun d -> I.mac16_into d c.ic c.ia c.ib)));
+      twin "srs16"
+        (fun () -> as_floats (I.srs16 ~shift:c.shift c.ia))
+        (fun () -> as_floats (into_i n (fun d -> I.srs16_into d ~shift:c.shift c.ia)));
+      twin "load_i16"
+        (fun () -> as_floats (I.load_i16 c.ia 0 n))
+        (fun () -> as_floats (into_i n (fun d -> I.load_i16_into d c.ia 0)));
+      match !fails with
+      | [] -> true
+      | names -> QCheck.Test.fail_reportf "mismatch in %s" (String.concat ", " (List.rev names)))
+
+let expect_invalid what msg f =
+  match f () with
+  | exception Invalid_argument m -> Alcotest.(check string) what msg m
+  | _ -> Alcotest.failf "%s: expected Invalid_argument %S" what msg
+
+let test_vec_error_paths () =
+  let a4 = [| 1.0; 2.0; 3.0; 4.0 |] and i4 = [| 1; 2; 3; 4 |] in
+  let d3 = Array.make 3 0.0 and i3 = Array.make 3 0 in
+  expect_invalid "fadd mismatch" "aie: fadd: lane mismatch (1 vs 4)" (fun () ->
+      Aie.Vec.fadd [| 1.0 |] a4);
+  expect_invalid "fmin_into mismatch" "aie: fmin: lane mismatch (4 vs 3)" (fun () ->
+      Aie.Vec.fmin_into a4 a4 d3);
+  expect_invalid "fmac mismatch" "aie: fmac: lane mismatch (3 vs 4)" (fun () ->
+      Aie.Vec.fmac d3 a4 a4);
+  expect_invalid "imac mismatch" "aie: imac: lane mismatch (4 vs 3)" (fun () ->
+      Aie.Vec.imac i4 i4 i3);
+  expect_invalid "iadd mismatch" "aie: iadd: lane mismatch (4 vs 3)" (fun () ->
+      Aie.Vec.iadd i4 i3);
+  expect_invalid "fshuffle index" "aie: fshuffle index 4 out of range" (fun () ->
+      Aie.Vec.fshuffle a4 [| 0; 4 |]);
+  expect_invalid "fshuffle negative index" "aie: fshuffle index -1 out of range" (fun () ->
+      Aie.Vec.fshuffle a4 [| -1 |]);
+  expect_invalid "ishuffle index" "aie: ishuffle index 9 out of range" (fun () ->
+      Aie.Vec.ishuffle i4 [| 9 |]);
+  expect_invalid "fselect mask" "aie: fselect mask lane mismatch" (fun () ->
+      Aie.Vec.fselect [| true |] a4 a4);
+  expect_invalid "fselect_into mask" "aie: fselect mask lane mismatch" (fun () ->
+      Aie.Vec.fselect_into a4 [| true |] a4 a4);
+  expect_invalid "srs shift" "aie: srs with negative shift" (fun () ->
+      Aie.Vec.srs Cgsim.Dtype.I16 (-1) i4);
+  expect_invalid "srs_into shift" "aie: srs with negative shift" (fun () ->
+      Aie.Vec.srs_into i4 Cgsim.Dtype.I16 (-1) i4);
+  expect_invalid "ups shift" "aie: ups with negative shift" (fun () -> Aie.Vec.ups (-1) i4);
+  let dst name = Printf.sprintf "aie: %s_into: destination has 3 lanes, expected 4" name in
+  expect_invalid "fmin dst" (dst "fmin") (fun () -> Aie.Vec.fmin_into d3 a4 a4);
+  expect_invalid "fmax dst" (dst "fmax") (fun () -> Aie.Vec.fmax_into d3 a4 a4);
+  expect_invalid "fmac dst" (dst "fmac") (fun () -> Aie.Vec.fmac_into d3 a4 a4 a4);
+  expect_invalid "fselect dst" (dst "fselect") (fun () ->
+      Aie.Vec.fselect_into d3 [| true; true; false; false |] a4 a4);
+  expect_invalid "fshuffle dst" (dst "fshuffle") (fun () ->
+      Aie.Vec.fshuffle_into d3 a4 [| 0; 1; 2; 3 |]);
+  expect_invalid "imac dst" (dst "imac") (fun () -> Aie.Vec.imac_into i3 i4 i4 i4);
+  expect_invalid "srs dst" (dst "srs") (fun () -> Aie.Vec.srs_into i3 Cgsim.Dtype.I16 0 i4);
+  expect_invalid "mac16 dst" (dst "imac") (fun () -> Aie.Intrinsics.mac16_into i3 i4 i4 i4);
+  expect_invalid "load_f32_into range" "aie: load_f32 out of range (off=2 lanes=3 len=4)"
+    (fun () -> Aie.Intrinsics.load_f32_into d3 a4 2);
+  expect_invalid "fshuffle_into alias" "aie: fshuffle_into: destination aliases the source"
+    (fun () -> Aie.Vec.fshuffle_into a4 a4 [| 3; 2; 1; 0 |]);
+  (* Checks run before the loop: a failing op leaves its destination as
+     it was. *)
+  let d = Array.make 4 7.0 in
+  (match Aie.Vec.fshuffle_into d a4 [| 0; 1; 2; 5 |] with
+   | exception Invalid_argument _ -> ()
+   | () -> Alcotest.fail "out-of-range index must be rejected");
+  Alcotest.(check (array (float 0.0))) "dst untouched" (Array.make 4 7.0) d
+
+(* With tracing off the destination-passing intrinsics allocate nothing:
+   no result vector and no trace event. *)
+let test_intrinsics_into_no_alloc () =
+  let a = Array.make 16 1.5 and b = Array.make 16 2.5 and d = Array.make 16 0.0 in
+  let perm = Array.init 16 (fun i -> 15 - i) and keep = Array.init 16 (fun i -> i land 1 = 0) in
+  let ia = Array.make 32 3 and id = Array.make 32 0 in
+  let mem = Array.make 64 0.25 in
+  let step () =
+    Aie.Intrinsics.fpshuffle_into d a perm;
+    Aie.Intrinsics.fpmin_into d a d;
+    Aie.Intrinsics.fpmax_into d b d;
+    Aie.Intrinsics.fpselect_into d keep a d;
+    Aie.Intrinsics.fpmac_into d d a b;
+    Aie.Intrinsics.load_f32_into d mem 16;
+    Aie.Intrinsics.mac16_into id id ia ia;
+    Aie.Intrinsics.srs16_into id ~shift:3 id;
+    Aie.Intrinsics.scalar_op ~count:2 "ctl"
+  in
+  step ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    step ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "minor words for 1000 steps (got %.0f)" words) true
+    (words < 100.0)
+
+(* ------------------------------------------------------------------ *)
+(* Intrinsics: cost emission                                          *)
+(* ------------------------------------------------------------------ *)
 
 let test_intrinsics_emit_costs () =
   let a16 = Array.make 16 1.0 in
@@ -116,7 +384,7 @@ let test_trace_loop_suppression () =
     with_recording (fun () ->
         Aie.Trace.with_pipelined_loop ~trip:10 (fun _ ->
             incr executions;
-            Aie.Trace.vop "body"))
+            Aie.Trace.vop ~slots:1 "body"))
   in
   Alcotest.(check int) "body ran trip times" 10 !executions;
   match events with
@@ -130,7 +398,7 @@ let test_trace_loop_abort_marker () =
     with_recording (fun () ->
         try
           Aie.Trace.with_pipelined_loop ~trip:10 (fun _ ->
-              Aie.Trace.vop "partial";
+              Aie.Trace.vop ~slots:1 "partial";
               raise Exit)
         with Exit -> ())
   in
@@ -154,7 +422,7 @@ let loop4_kernel =
       let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
       while true do
         Aie.Trace.with_pipelined_loop ~trip:4 (fun _ ->
-            Aie.Trace.vop "work";
+            Aie.Trace.vop ~slots:1 "work";
             Cgsim.Port.put o (Cgsim.Port.get i))
       done)
 
@@ -306,13 +574,18 @@ let () =
           Alcotest.test_case "shuffle/select" `Quick test_vec_shuffle;
           Alcotest.test_case "srs semantics" `Quick test_vec_srs_semantics;
           Alcotest.test_case "f32 rounding" `Quick test_vec_f32_rounding;
+          Alcotest.test_case "fsum f32 tree" `Quick test_vec_fsum_f32_tree;
+          Alcotest.test_case "error paths" `Quick test_vec_error_paths;
           QCheck_alcotest.to_alcotest prop_srs_monotone;
+          QCheck_alcotest.to_alcotest prop_vec_matches_scalar;
         ] );
       ( "intrinsics",
         [
           Alcotest.test_case "cost emission" `Quick test_intrinsics_emit_costs;
           Alcotest.test_case "disabled is silent" `Quick test_intrinsics_disabled_is_silent;
           Alcotest.test_case "bounds" `Quick test_intrinsics_bounds;
+          Alcotest.test_case "_into allocates nothing untraced" `Quick
+            test_intrinsics_into_no_alloc;
         ] );
       ( "trace",
         [

@@ -308,6 +308,62 @@ let test_sim_more_reps_scale_linearly () =
   Alcotest.(check bool) (Printf.sprintf "4x reps => ~4x cycles (got %.2f)" ratio) true
     (ratio > 3.0 && ratio < 5.0)
 
+(* Table 1 pinned: each app's baseline and extracted deploy at the
+   benchmark's 8 repetitions must print exactly EXPERIMENTS.md's "ours
+   base"/"ours extr" cells, and the captured traces must keep their total
+   event count.  Any drift in the vector model's emitted events or the
+   VLIW cost model shows here. *)
+let table1_cells =
+  [
+    "bitonic", ("108.8", "133.6");
+    "farrow", ("3508.4", "3953.2");
+    "iir", ("8541.6", "8560.8");
+    "bilinear", ("409.6", "497.6");
+  ]
+
+let table1_trace_events = 104484
+
+let cgc_dir =
+  let rec find dir =
+    let candidate = Filename.concat dir "examples/cgc" in
+    if Sys.file_exists candidate then candidate
+    else begin
+      let parent = Filename.dirname dir in
+      if String.equal parent dir then failwith "cannot locate examples/cgc" else find parent
+    end
+  in
+  find (Sys.getcwd ())
+
+let test_table1_pinned () =
+  let reps = 8 in
+  let events = ref 0 in
+  List.iter
+    (fun (h : Apps.Harness.t) ->
+      let base_cell, extr_cell = List.assoc h.Apps.Harness.name table1_cells in
+      let extracted =
+        let path = Filename.concat cgc_dir (h.Apps.Harness.name ^ ".cgc") in
+        match Extractor.Project.extract_file path with
+        | [ p ] -> Extractor.Project.deploy p
+        | _ -> Alcotest.failf "%s: extraction did not yield one graph" h.Apps.Harness.name
+      in
+      List.iter
+        (fun (label, deploy, cell) ->
+          let report, out = run_app h deploy reps in
+          (match h.Apps.Harness.check ~reps out with
+           | Ok () -> ()
+           | Error e -> Alcotest.failf "%s %s: %s" h.Apps.Harness.name label e);
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s ns/block" h.Apps.Harness.name label)
+            cell
+            (Printf.sprintf "%.1f" report.Aiesim.Sim.ns_per_block);
+          events := !events + report.Aiesim.Sim.trace_events)
+        [
+          "baseline", Aiesim.Deploy.baseline (h.Apps.Harness.graph ()), base_cell;
+          "extracted", extracted, extr_cell;
+        ])
+    Apps.Harness.all;
+  Alcotest.(check int) "trace events over the mix" table1_trace_events !events
+
 let () =
   Alcotest.run "aiesim"
     [
@@ -347,5 +403,6 @@ let () =
           Alcotest.test_case "blocks counted" `Quick test_sim_blocks_counted;
           Alcotest.test_case "linear scaling" `Quick test_sim_more_reps_scale_linearly;
           Alcotest.test_case "gmio transport" `Quick test_sim_gmio_transport;
+          Alcotest.test_case "Table 1 pinned" `Quick test_table1_pinned;
         ] );
     ]
