@@ -162,4 +162,19 @@ if grep -rnE '(Runtime|Pool|Sim)\.(instantiate|execute|run)_opts' lib bin bench 
 fi
 echo "no shim references"
 
+echo "== link-time behaviour gate =="
+# Runtime.compile calls the linter, fusion planner and capacity
+# synthesizer directly, so what a run does never depends on which
+# libraries a binary links.  Keep it that way: no -linkall, and no
+# library arming a runtime hook.
+if find . -name dune -not -path './_build/*' -exec grep -n -- '-linkall' {} +; then
+  echo "ci: a dune file uses -linkall" >&2
+  exit 1
+fi
+if grep -rnE 'Runtime\.set_[a-z_]+_hook' lib; then
+  echo "ci: a library installs a runtime hook" >&2
+  exit 1
+fi
+echo "no link-time behaviour"
+
 echo "== ci passed =="

@@ -69,20 +69,21 @@ let next_unit_float st =
    the cold path too (a cold config still resolves here); only the idle
    instance list is warm-only. *)
 
-(* Run_config compatibility for cache keying.  Scalar knobs compare
-   structurally; hooks and fault plans compare physically (closures have
-   no structural equality — and two distinct plans genuinely are
-   different keys, since their shared fire budgets are entry state). *)
+(* Run_config compatibility for cache keying: every field that
+   Runtime.compile, new_instance or an instance's run reads, and no
+   Pool-only field.  Scalar knobs compare structurally; hooks and fault
+   plans compare physically (closures have no structural equality — and
+   two distinct plans genuinely are different keys, since their shared
+   fire budgets are entry state). *)
 let config_key_equal (a : Run_config.t) (b : Run_config.t) =
   a.Run_config.hooks == b.Run_config.hooks
   && a.Run_config.queue_capacity = b.Run_config.queue_capacity
-  && a.Run_config.block_io = b.Run_config.block_io
-  && a.Run_config.spsc = b.Run_config.spsc
+  && a.Run_config.reference = b.Run_config.reference
   && a.Run_config.lint = b.Run_config.lint
   && a.Run_config.deadline_ns = b.Run_config.deadline_ns
   && a.Run_config.max_steps = b.Run_config.max_steps
   && a.Run_config.fuse = b.Run_config.fuse
-  && a.Run_config.unboxed = b.Run_config.unboxed
+  && a.Run_config.auto_capacity = b.Run_config.auto_capacity
   && (match a.Run_config.faults, b.Run_config.faults with
       | None, None -> true
       | Some x, Some y -> x == y

@@ -86,21 +86,14 @@ let obs_hooks () =
 
 type lint_level = Run_config.lint_level
 
-(* The static analyzer (lib/analysis) installs itself here at module-init
-   time; cgsim itself cannot depend on it without a cycle.  When no hook
-   is installed, pre-flight linting quietly does nothing. *)
-let lint_hook : (Serialized.t -> Diagnostic.t list) option ref = ref None
-
-let set_lint_hook f = lint_hook := Some f
-
 let preflight ~lint (g : Serialized.t) =
-  match lint, !lint_hook with
-  | `Off, _ | _, None -> ()
-  | (`Warn | `Error), Some hook ->
+  match lint with
+  | `Off -> ()
+  | `Warn | `Error ->
     let diags =
       List.filter
         (fun d -> d.Diagnostic.severity <> Diagnostic.Info)
-        (hook g)
+        (Lint.run g)
     in
     if diags <> [] then begin
       match lint, Diagnostic.max_severity diags with
@@ -111,112 +104,24 @@ let preflight ~lint (g : Serialized.t) =
         List.iter (fun d -> prerr_endline (Diagnostic.render d)) diags
     end
 
-(* The fusion analysis (lib/analysis) installs itself here at module-init
-   time, like the linter.  It proposes chains of kernel indices
-   (upstream first) whose members are rate-matched and connected by
-   exclusive SPSC nets; [compile] collapses each accepted chain into one
-   fiber with direct hand-off edges ({!Fused}) instead of queues.  With
-   no hook installed, or [Run_config.fuse] off, nothing fuses. *)
-let fusion_hook : (Serialized.t -> int list list) option ref = ref None
-
-let set_fusion_hook f = fusion_hook := Some f
-
-(* Re-validate proposed chains against the structural facts the
-   single-fiber pump protocol needs; a chain that fails any check is
-   dropped (transparent fallback to normal queued execution), never an
-   error.  Returns the accepted chains as (member kernel indices,
-   interior net ids) plus the per-net fused flags. *)
+(* Operator fusion: each chain {!Fusion.chains} finds runs as one fiber
+   with direct hand-off edges ({!Fused}) instead of queues.  Returns the
+   chains as (member kernel indices, interior net ids) plus the per-net
+   fused flags. *)
 let resolve_chains ~(config : Run_config.t) (g : Serialized.t) =
-  let n_nets = Array.length g.Serialized.nets in
-  match (if config.Run_config.fuse then !fusion_hook else None) with
-  | None -> [||], Array.make n_nets false
-  | Some hook ->
-    let n_kernels = Array.length g.Serialized.kernels in
-    let proposed = try hook g with _ -> [] in
-    let claimed = Array.make n_kernels false in
-    let fused = Array.make n_nets false in
-    let dir_nets dir k =
-      let inst = g.Serialized.kernels.(k) in
-      let acc = ref [] in
-      Array.iteri
-        (fun pi (spec : Kernel.port_spec) ->
-          if spec.Kernel.dir = dir then acc := inst.Serialized.port_nets.(pi) :: !acc)
-        inst.Serialized.ports;
-      !acc
+  let fused = Array.make (Array.length g.Serialized.nets) false in
+  if (not config.Run_config.fuse) || config.Run_config.reference then [||], fused
+  else begin
+    let chains =
+      List.map
+        (fun chain ->
+          let edges = Array.of_list (Fusion.interior g chain) in
+          Array.iter (fun id -> fused.(id) <- true) edges;
+          Array.of_list chain, edges)
+        (Fusion.chains g)
     in
-    (* The unique exclusive non-global net written by [a] and read by
-       [b], if there is exactly one. *)
-    let pair_net a b =
-      let hits = ref [] in
-      Array.iteri
-        (fun id (n : Serialized.net) ->
-          if n.Serialized.global_input = None && n.Serialized.global_output = None
-             && (match n.Serialized.writers with
-                 | [ w ] -> w.Serialized.kernel_idx = a
-                 | _ -> false)
-             && (match n.Serialized.readers with
-                 | [ r ] -> r.Serialized.kernel_idx = b
-                 | _ -> false)
-          then hits := id :: !hits)
-        g.Serialized.nets;
-      match !hits with [ id ] -> Some id | _ -> None
-    in
-    let accepted = ref [] in
-    List.iter
-      (fun chain ->
-        let members = Array.of_list chain in
-        let m = Array.length members in
-        let distinct =
-          m >= 2
-          && Array.for_all (fun k -> k >= 0 && k < n_kernels && not claimed.(k)) members
-          &&
-          let seen = Hashtbl.create m in
-          Array.for_all
-            (fun k ->
-              if Hashtbl.mem seen k then false
-              else begin
-                Hashtbl.add seen k ();
-                true
-              end)
-            members
-        in
-        if distinct then begin
-          let edges = Array.init (m - 1) (fun i -> pair_net members.(i) members.(i + 1)) in
-          let connected = Array.for_all Option.is_some edges in
-          if connected then begin
-            let edges = Array.map Option.get edges in
-            (* Shape the pump protocol supports: every non-tail member's
-               sole output is its chain edge (its body is the downstream
-               edge's pump), every non-head member's sole input is the
-               edge from its predecessor.  Head inputs and tail outputs
-               stay real. *)
-            let shape_ok = ref true in
-            for i = 0 to m - 2 do
-              if dir_nets Kernel.Out members.(i) <> [ edges.(i) ] then shape_ok := false
-            done;
-            for i = 1 to m - 1 do
-              if dir_nets Kernel.In members.(i) <> [ edges.(i - 1) ] then shape_ok := false
-            done;
-            if !shape_ok then begin
-              Array.iter (fun k -> claimed.(k) <- true) members;
-              Array.iter (fun id -> fused.(id) <- true) edges;
-              accepted := (members, edges) :: !accepted
-            end
-          end
-        end)
-      proposed;
-    Array.of_list (List.rev !accepted), fused
-
-(* The capacity-synthesis analysis (lib/analysis) installs itself here
-   at module-init time, like the linter and the fusion pass.  It maps a
-   graph to (net id, minimal deadlock-free depth) suggestions;
-   [resolve_graph] raises the corresponding queue capacities when
-   [Run_config.auto_capacity] is on.  Depths are only ever raised — a
-   suggestion below the resolved depth is ignored — so the synthesis
-   can never shrink a queue the user sized deliberately. *)
-let capacity_hook : (Serialized.t -> (int * int) list) option ref = ref None
-
-let set_capacity_hook f = capacity_hook := Some f
+    Array.of_list chains, fused
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Structured outcomes                                                 *)
@@ -403,14 +308,12 @@ let resolve_graph ~(config : Run_config.t) (g : Serialized.t) =
         | None -> Settings.resolved_depth ~elem_bytes:(Dtype.size_bytes n.dtype) n.settings)
       g.Serialized.nets
   in
-  (match (if config.Run_config.auto_capacity then !capacity_hook else None) with
-   | None -> ()
-   | Some hook ->
-     List.iter
-       (fun (id, depth) ->
-         if id >= 0 && id < Array.length capacities then
-           capacities.(id) <- max capacities.(id) depth)
-       (try hook g with _ -> []));
+  (* Capacity synthesis only ever raises a depth, so a queue the user
+     sized deliberately is never shrunk. *)
+  if config.Run_config.auto_capacity then
+    List.iter
+      (fun (id, depth) -> capacities.(id) <- max capacities.(id) depth)
+      (Capacity.suggest g);
   let pure = Array.for_all (fun k -> k.Kernel.purity = Kernel.Pure) kernels in
   let batchable =
     pure && Array.for_all (fun k -> k.Kernel.stateless) kernels
@@ -448,8 +351,8 @@ let compiled_pure c = c.c_pure
 
 let compiled_batchable c = c.c_batchable
 
-(* Accepted fusion chains, as kernel indices upstream-first (empty when
-   fusion is off, no analysis is linked, or nothing qualified). *)
+(* Fused chains, as kernel indices upstream-first (empty when fusion is
+   off, in reference mode, or when nothing qualified). *)
 let compiled_chains c = Array.map fst c.c_chains
 
 (* Every net must end wiring with at least one producer and one consumer
@@ -514,12 +417,12 @@ let new_instance (c : compiled) =
             ~name:(Printf.sprintf "%s/net%d" g.Serialized.gname n.net_id)
             ~dtype:n.dtype ~capacity:1 ()
         else
-          Bqueue.create ~unboxed:config.Run_config.unboxed
+          Bqueue.create ~unboxed:(not config.Run_config.reference)
             ~name:(Printf.sprintf "%s/net%d" g.Serialized.gname n.net_id)
             ~dtype:n.dtype ~capacity:c.c_capacities.(id) ())
       g.Serialized.nets
   in
-  let block_io = config.Run_config.block_io in
+  let block_io = not config.Run_config.reference in
   let kernels =
     Array.mapi
       (fun idx (inst : Serialized.kernel_inst) ->
@@ -535,8 +438,8 @@ let new_instance (c : compiled) =
               match f_edges.(net_id), spec.Kernel.dir with
               | Some e, Kernel.In ->
                 (* Fused hand-off: reads pull the upstream pump directly,
-                   no queue transaction, so block_io granularity does not
-                   apply. *)
+                   no queue transaction, so reference mode's element-wise
+                   transfers do not apply. *)
                 Wire_in
                   ( port_idx,
                     {
@@ -633,7 +536,7 @@ let new_instance (c : compiled) =
   in
   check_wiring ~g ~fused:c.c_fused queues;
   Array.iteri
-    (fun id q -> if not c.c_fused.(id) then Bqueue.seal ~spsc:config.Run_config.spsc q)
+    (fun id q -> if not c.c_fused.(id) then Bqueue.seal ~spsc:(not config.Run_config.reference) q)
     queues;
   {
     graph = g;
@@ -780,7 +683,7 @@ let arm t =
       let q = t.queues.(net_id) in
       let p = t.in_producers.(i) in
       let body =
-        if config.Run_config.block_io then begin
+        if not config.Run_config.reference then begin
           let chunk = io_chunk q in
           let dt = Bqueue.dtype q in
           (* On unboxed scalar nets, pump flat payloads straight into the
@@ -844,7 +747,7 @@ let arm t =
       let q = t.queues.(net_id) in
       let c = t.out_consumers.(i) in
       let body =
-        if config.Run_config.block_io then begin
+        if not config.Run_config.reference then begin
           let chunk = io_chunk q in
           let dt = Bqueue.dtype q in
           if Bqueue.is_unboxed q && Dtype.is_float dt then fun () ->

@@ -35,41 +35,10 @@ exception Runtime_error of string
     kernel body executes). *)
 type lint_level = Run_config.lint_level
 
-(** Install the static analyzer used by {!run}'s pre-flight.  The
-    [analysis] library installs [Analysis.Lint.run] here when it is
-    linked; without a hook the pre-flight is a no-op.  (Dependency
-    injection: cgsim cannot depend on the analyzer directly.) *)
-val set_lint_hook : (Serialized.t -> Diagnostic.t list) -> unit
-
-(** Run the installed lint hook on a graph at the given level without
-    instantiating it — the entry {!run} uses for its pre-flight, exposed
-    for components (e.g. {!Pool}) that execute one graph many times and
-    want to lint it once. *)
+(** Run {!Lint.run} on a graph at the given level without instantiating
+    it — the entry {!compile} uses for its pre-flight, exposed for other
+    simulators (e.g. [X86sim]) that run the same graphs. *)
 val preflight : lint:lint_level -> Serialized.t -> unit
-
-(** Install the operator-fusion analysis used by {!compile} when
-    [Run_config.fuse] is on.  The hook proposes chains of kernel indices
-    (upstream first) that are rate-matched and connected by exclusive
-    SPSC nets; the runtime re-validates each proposal structurally —
-    consecutive members joined by exactly one non-global
-    single-writer/single-reader net, non-tail members with that edge as
-    their only output, non-head members with it as their only input —
-    and silently drops chains that fail, falling back to queued
-    execution.  Accepted chains run as one fiber with direct hand-off
-    edges ({!Fused}) in place of queues.  Installed by the [analysis]
-    library at link time ([Analysis.Fusion.chains]); without a hook
-    nothing fuses. *)
-val set_fusion_hook : (Serialized.t -> int list list) -> unit
-
-(** Install the capacity-synthesis analysis used by {!compile} when
-    [Run_config.auto_capacity] is on.  The hook maps a graph to
-    [(net_id, minimal deadlock-free depth)] suggestions; the runtime
-    raises each suggested net's queue capacity to the suggested depth
-    (never lowers one, so deliberately over-sized queues are left
-    alone).  Installed by the [analysis] library at link time
-    ([Analysis.Capacity.suggest]); without a hook, [auto_capacity] is a
-    no-op. *)
-val set_capacity_hook : (Serialized.t -> (int * int) list) -> unit
 
 (** Hooks letting a simulator intercept every kernel-port access without
     changing kernel code — the mechanism aiesim uses to count stream
@@ -146,10 +115,10 @@ val stats_exn : outcome -> Sched.stats
 (** [instantiate g] reconstructs the graph under [config] (default
     {!Run_config.default}).  Queue capacities derive from each net's
     resolved settings unless [config.queue_capacity] overrides them all;
-    [config.block_io]/[config.spsc] select the block-transfer and SPSC
-    fast paths (with [false], semantically identical slow paths — the
-    equivalence baselines).  [config.hooks] are installed around every
-    kernel port and body; [config.faults] wraps innermost.  Raises
+    [config.reference] selects the element-wise, MPMC, boxed and unfused
+    baseline paths in place of the fast ones (semantically identical).
+    [config.hooks] are installed around every kernel port and body;
+    [config.faults] wraps innermost.  Raises
     {!Runtime_error} when a kernel key is missing from the registry or
     the serialized form is invalid. *)
 val instantiate : ?config:Run_config.t -> Serialized.t -> t
@@ -157,11 +126,13 @@ val instantiate : ?config:Run_config.t -> Serialized.t -> t
 (** {1 Compile-once serving}
 
     [compile g] does the per-graph work once: validation, registry
-    resolution, per-net queue-capacity resolution, profiler-key
-    precomputation, the purity check that gates request batching, and
-    the pre-flight lint at [config.lint] — the verdict is part of the
-    artifact, so instances built from it (and their resets) never
-    re-lint.  Raises exactly as {!instantiate} would on an invalid
+    resolution, per-net queue-capacity resolution (raised by
+    {!Capacity.suggest} when [config.auto_capacity] is on),
+    operator-fusion planning ({!Fusion.chains} when [config.fuse] is on
+    and [config.reference] off), profiler-key precomputation, the purity
+    check that gates request batching, and the pre-flight {!Lint.run} at
+    [config.lint] — the verdict is part of the artifact, so instances
+    built from it (and their resets) never re-lint.  Raises exactly as {!instantiate} would on an invalid
     graph, and as {!run}'s pre-flight would at [`Error]. *)
 val compile : ?config:Run_config.t -> Serialized.t -> compiled
 
@@ -181,7 +152,7 @@ val compiled_batchable : compiled -> bool
 
 (** The fusion chains this artifact will execute, as kernel indices into
     the graph's kernel array, upstream first — empty when fusion is off
-    ([Run_config.fuse = false]), no fusion hook is linked, or no chain
+    ([Run_config.fuse = false]), in reference mode, or when no chain
     qualified.  Exposed for tests and bench reporting. *)
 val compiled_chains : compiled -> int array array
 

@@ -6,7 +6,7 @@
     CGC front-end) because the serialized form — the flat artifact every
     downstream consumer reads — must be expressible without a dependency
     on the front-end; builder-made graphs simply leave it unset.  The
-    static analyzer ({!module:Analysis} in [lib/analysis]) attaches these
+    static analyzer ({!Lint}) attaches these
     spans to its diagnostics so lint findings point at CGC source. *)
 
 type t = {

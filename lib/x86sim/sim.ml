@@ -58,7 +58,7 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
                only matter to aiesim. *)
             max deep_stream_depth (Cgsim.Settings.resolved_depth ~elem_bytes n.settings)
         in
-        Tqueue.create ~unboxed:config.Cgsim.Run_config.unboxed
+        Tqueue.create ~unboxed:(not config.Cgsim.Run_config.reference)
           ~name:(Printf.sprintf "%s/net%d" g.gname n.net_id) ~dtype:n.dtype ~capacity ())
       g.nets
   in

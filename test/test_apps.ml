@@ -147,51 +147,29 @@ let test_x86sim_matches_cgsim () =
         Alcotest.failf "%s: cgsim and x86sim outputs differ" h.Apps.Harness.name)
     Apps.Harness.all
 
-(* The block fast path and the per-element fallback must be
-   indistinguishable from outside: bit-identical sink contents for
-   every app. *)
-let test_block_io_equivalence () =
+(* Reference mode (element-wise ports, MPMC queues, boxed storage, no
+   fusion) is the baseline every fast path must match: bit-identical
+   sink contents for every app. *)
+let test_reference_equivalence () =
   List.iter
     (fun (h : Apps.Harness.t) ->
       let reps = 2 in
-      let run_with ~block_io =
+      let run_with ~reference =
         let g = h.Apps.Harness.graph () in
         let sinks, contents = h.Apps.Harness.make_sinks () in
         ignore
           (Cgsim.Runtime.execute_exn
-             ~config:Cgsim.Run_config.(with_block_io block_io default)
+             ~config:Cgsim.Run_config.(with_reference reference default)
              g ~sources:(h.Apps.Harness.sources ~reps) ~sinks);
         contents ()
       in
-      let blocked = run_with ~block_io:true in
-      let element = run_with ~block_io:false in
-      if List.length blocked <> List.length element then
-        Alcotest.failf "%s: block and element paths differ in length" h.Apps.Harness.name;
-      if not (List.for_all2 Cgsim.Value.equal blocked element) then
-        Alcotest.failf "%s: block and element paths differ" h.Apps.Harness.name)
-    Apps.Harness.all
-
-(* Same bar for the SPSC fast path: sealed 1:1 edges and the forced
-   broadcast path must give bit-identical sink contents for every app. *)
-let test_spsc_equivalence () =
-  List.iter
-    (fun (h : Apps.Harness.t) ->
-      let reps = 2 in
-      let run_with ~spsc =
-        let g = h.Apps.Harness.graph () in
-        let sinks, contents = h.Apps.Harness.make_sinks () in
-        ignore
-          (Cgsim.Runtime.execute_exn
-             ~config:Cgsim.Run_config.(with_spsc spsc default)
-             g ~sources:(h.Apps.Harness.sources ~reps) ~sinks);
-        contents ()
-      in
-      let fast = run_with ~spsc:true in
-      let slow = run_with ~spsc:false in
+      let fast = run_with ~reference:false in
+      let slow = run_with ~reference:true in
+      check_ok (h.Apps.Harness.name ^ " (default)") (h.Apps.Harness.check ~reps fast);
       if List.length fast <> List.length slow then
-        Alcotest.failf "%s: spsc and mpmc paths differ in length" h.Apps.Harness.name;
+        Alcotest.failf "%s: default and reference differ in length" h.Apps.Harness.name;
       if not (List.for_all2 Cgsim.Value.equal fast slow) then
-        Alcotest.failf "%s: spsc and mpmc paths differ" h.Apps.Harness.name)
+        Alcotest.failf "%s: default and reference differ" h.Apps.Harness.name)
     Apps.Harness.all
 
 (* Whole apps served through the pool: every request's output checks
@@ -220,6 +198,57 @@ let test_pool_serves_apps () =
         stats.Cgsim.Pool.results)
     Apps.Harness.all
 
+(* ------------------------------------------------------------------ *)
+(* Compile-time analysis needs no extra library                       *)
+(* ------------------------------------------------------------------ *)
+
+(* This suite links neither [analysis] nor anything that references it:
+   Runtime.compile must still plan fusion and synthesize capacities. *)
+
+let apps_scale =
+  Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"apps_scale4" ~pure:true ~stateless:true
+    ~rates:[ "in", 4; "out", 4 ]
+    [ Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32; Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32 ]
+    (fun b ->
+      let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
+      while true do
+        let w = Cgsim.Port.get_window_f32 i 4 in
+        Cgsim.Port.put_window_f32 o (Array.map (fun x -> 2.0 *. x) w)
+      done)
+
+let () = Cgsim.Registry.register apps_scale
+
+let test_compile_fuses_chain () =
+  let g =
+    Cgsim.Builder.make ~name:"apps_chain3" ~inputs:[ "in", Cgsim.Dtype.F32 ] (fun b conns ->
+        [
+          List.fold_left
+            (fun src () ->
+              let dst = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+              ignore (Cgsim.Builder.add_kernel b apps_scale [ src; dst ]);
+              dst)
+            (List.hd conns) [ (); (); () ];
+        ])
+  in
+  match Cgsim.Runtime.compiled_chains (Cgsim.Runtime.compile g) with
+  | [| chain |] -> Alcotest.(check int) "one 3-kernel chain" 3 (Array.length chain)
+  | chains -> Alcotest.failf "expected one fused chain, got %d" (Array.length chains)
+
+let test_compile_auto_capacity () =
+  let case = Workloads.Sdf_gen.generate ~defect:Workloads.Sdf_gen.Under_capacity ~seed:7 () in
+  let config =
+    Cgsim.Run_config.(default |> with_auto_capacity true |> with_max_steps 10_000_000)
+  in
+  let sink, _ = Cgsim.Io.f32_buffer () in
+  match
+    Cgsim.Runtime.execute ~config case.Workloads.Sdf_gen.c_graph
+      ~sources:[ Cgsim.Io.of_f32_array case.Workloads.Sdf_gen.c_input ]
+      ~sinks:[ sink ]
+  with
+  | Cgsim.Runtime.Completed stats ->
+    Alcotest.(check int) "no fiber left parked" 0 stats.Cgsim.Sched.cancelled
+  | o -> Alcotest.failf "expected Completed, got %a" Cgsim.Runtime.pp_outcome o
+
 let () =
   Alcotest.run "apps"
     [
@@ -241,9 +270,14 @@ let () =
           Alcotest.test_case "farrow x2" `Quick (cgsim_case Apps.Harness.farrow 2);
           Alcotest.test_case "iir x2" `Quick (cgsim_case Apps.Harness.iir 2);
           Alcotest.test_case "bilinear x3" `Quick (cgsim_case Apps.Harness.bilinear 3);
-          Alcotest.test_case "block == element path" `Quick test_block_io_equivalence;
-          Alcotest.test_case "spsc == mpmc path" `Quick test_spsc_equivalence;
+          Alcotest.test_case "default == reference (all apps)" `Quick
+            test_reference_equivalence;
           Alcotest.test_case "pool serves all apps" `Quick test_pool_serves_apps;
+        ] );
+      ( "compile",
+        [
+          Alcotest.test_case "rate-matched chain fuses" `Quick test_compile_fuses_chain;
+          Alcotest.test_case "auto_capacity rescues a cycle" `Quick test_compile_auto_capacity;
         ] );
       ( "x86sim-end-to-end",
         [

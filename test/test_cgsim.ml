@@ -1046,19 +1046,21 @@ let test_bqueue_spsc_transfer_equal () =
   Alcotest.(check (list int)) "and they are 0..n-1" (List.init n Fun.id) fast
 
 let test_runtime_spsc_equivalence () =
-  (* Whole-graph equivalence: the diamond has 1:1 edges (sealed) and a
-     broadcast net (never sealed); outputs must not depend on the flag. *)
-  let run ~spsc =
+  (* Whole-graph equivalence: the diamond has 1:1 edges (sealed by
+     default, MPMC in reference mode) and a broadcast net (never sealed);
+     outputs must not depend on the mode. *)
+  let run ~reference =
     let sink, contents = Cgsim.Io.f32_buffer () in
     let input = Cgsim.Io.of_f32_array (Array.init 64 float_of_int) in
     let _ =
       Cgsim.Runtime.execute_exn
-        ~config:Cgsim.Run_config.(with_spsc spsc default)
+        ~config:Cgsim.Run_config.(with_reference reference default)
         (diamond_graph ()) ~sources:[ input ] ~sinks:[ sink ]
     in
     contents ()
   in
-  Alcotest.(check (array (float 0.0))) "spsc on == off" (run ~spsc:false) (run ~spsc:true)
+  Alcotest.(check (array (float 0.0))) "spsc == mpmc" (run ~reference:true)
+    (run ~reference:false)
 
 let test_runtime_missing_consumer () =
   (* Hand-build a graph whose kernel output net has neither readers nor a

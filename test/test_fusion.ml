@@ -1,11 +1,10 @@
 (* Operator-fusion tests: chain discovery on the serialized graph, the
-   CG-I103 lint surface, transparent runtime fallback on bogus
-   proposals, fused==unfused output equivalence — on the four evaluation
-   apps under every fast-path configuration and on randomized
-   rate-matched SPSC chains. *)
+   CG-I103 lint surface, the unfused modes, and fused == unfused output
+   equivalence on randomized rate-matched SPSC chains (the four
+   evaluation apps are checked default == reference in test_apps). *)
 
 module R = Cgsim.Runtime
-module F = Analysis.Fusion
+module F = Cgsim.Fusion
 module D = Cgsim.Diagnostic
 
 (* ------------------------------------------------------------------ *)
@@ -189,7 +188,7 @@ let test_no_chain_on_rate_mismatch () =
         [ out1; out2 ])
   in
   Alcotest.(check bool) "rate solve rejects" true
-    (D.max_severity (Analysis.Rates.analyze g) = Some D.Error);
+    (D.max_severity (Cgsim.Rates.analyze g) = Some D.Error);
   Alcotest.(check int) "no chains" 0 (List.length (F.chains g))
 
 let test_two_kernel_chain_minimum () =
@@ -214,7 +213,7 @@ let test_cg_i103_emitted () =
 
 let test_cg_i103_in_lint_driver () =
   let g = chain_graph ~name:"fz_lintable2" ~rate:2 [ 2; 3 ] in
-  let codes = List.map (fun d -> d.D.code) (Analysis.Lint.run g) in
+  let codes = List.map (fun d -> d.D.code) (Cgsim.Lint.run g) in
   Alcotest.(check bool) "lint driver surfaces CG-I103" true (List.mem "CG-I103" codes)
 
 let test_clean_graph_no_i103 () =
@@ -252,7 +251,7 @@ let test_cg_i103_suppressed () =
   let g = chain_with_suppress ~name:"fz_lintsup" ~spec:(fun _ -> Some "CG-I103") [ 2; 3 ] in
   Alcotest.(check bool) "pass itself still reports the chain" true
     (List.exists (fun (d : D.t) -> d.D.code = "CG-I103") (F.analyze g));
-  let codes = List.map (fun (d : D.t) -> d.D.code) (Analysis.Lint.run g) in
+  let codes = List.map (fun (d : D.t) -> d.D.code) (Cgsim.Lint.run g) in
   Alcotest.(check bool) "lint driver honors lint.suppress" false (List.mem "CG-I103" codes)
 
 let test_cg_i103_partial_suppress_still_fires () =
@@ -262,7 +261,7 @@ let test_cg_i103_partial_suppress_still_fires () =
       ~spec:(fun i -> if i = 0 then Some "CG-I103" else None)
       [ 2; 3; 4 ]
   in
-  let codes = List.map (fun (d : D.t) -> d.D.code) (Analysis.Lint.run g) in
+  let codes = List.map (fun (d : D.t) -> d.D.code) (Cgsim.Lint.run g) in
   Alcotest.(check bool) "partially suppressed chain still reported" true
     (List.mem "CG-I103" codes)
 
@@ -270,109 +269,39 @@ let test_cg_i103_partial_suppress_still_fires () =
 (* Runtime fallback                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let with_hook hook f =
-  Cgsim.Runtime.set_fusion_hook hook;
-  Fun.protect ~finally:(fun () -> Cgsim.Runtime.set_fusion_hook F.chains) f
-
 let fallback_input = Array.init 64 (fun i -> float_of_int i)
 
 let expected_scaled factors input =
   let f = List.fold_left (fun acc x -> acc *. float_of_int x) 1.0 factors in
   Array.map (fun x -> Cgsim.Value.round_f32 (Cgsim.Value.round_f32 x *. f)) input
 
-(* A proposal the runtime must reject (members not adjacent on an
-   exclusive hop) falls back to per-kernel fibers, transparently. *)
-let test_bogus_proposal_falls_back () =
-  let factors = [ 2; 3; 5 ] in
-  let g = chain_graph ~name:"fz_bogus" ~rate:4 factors in
-  with_hook
-    (fun _ -> [ [ 0; 2 ] ])
-    (fun () ->
-      let out = run_chain ~config:Cgsim.Run_config.default g fallback_input in
-      floats_equal "bogus proposal output" (expected_scaled factors fallback_input) out)
-
-let test_out_of_range_proposal_falls_back () =
-  let factors = [ 2; 3 ] in
-  let g = chain_graph ~name:"fz_oor" ~rate:2 factors in
-  with_hook
-    (fun _ -> [ [ 7; 9 ] ])
-    (fun () ->
-      let out = run_chain ~config:Cgsim.Run_config.default g fallback_input in
-      floats_equal "out-of-range proposal output" (expected_scaled factors fallback_input) out)
-
-let test_fuse_off_ignores_hook () =
+(* Fusion off, or reference mode with fusion left on, plans no chains and
+   runs one fiber per kernel, with the same output. *)
+let test_unfused_modes () =
   let factors = [ 2; 3; 5 ] in
   let g = chain_graph ~name:"fz_off" ~rate:4 factors in
-  let hits = ref 0 in
-  with_hook
-    (fun g ->
-      incr hits;
-      F.chains g)
-    (fun () ->
-      let config = Cgsim.Run_config.(with_fuse false default) in
-      let out = run_chain ~config g fallback_input in
-      floats_equal "fuse-off output" (expected_scaled factors fallback_input) out;
-      Alcotest.(check int) "hook not consulted with fuse off" 0 !hits)
-
-(* ------------------------------------------------------------------ *)
-(* Equivalence: apps x fast-path configurations                       *)
-(* ------------------------------------------------------------------ *)
-
-let fastpath_configs =
-  Cgsim.Run_config.
-    [
-      "default", default;
-      "fuse-off", with_fuse false default;
-      "unboxed-off", with_unboxed false default;
-      ( "all-fast-paths-off",
-        default |> with_spsc false |> with_block_io false |> with_fuse false
-        |> with_unboxed false );
-    ]
-
-let values_equal msg (a : Cgsim.Value.t list) (b : Cgsim.Value.t list) =
-  Alcotest.(check int) (msg ^ ": output count") (List.length a) (List.length b);
-  Alcotest.(check bool) (msg ^ ": outputs equal") true
-    (List.for_all2 Cgsim.Value.equal a b)
-
-let run_app_checked msg (h : Apps.Harness.t) ~config ~reps =
-  let sinks, contents = h.Apps.Harness.make_sinks () in
-  let inst = R.new_instance (R.compile ~config (h.Apps.Harness.graph ())) in
-  (match R.run inst ~sources:(h.Apps.Harness.sources ~reps) ~sinks with
-   | R.Completed _ -> ()
-   | o -> Alcotest.failf "%s: expected Completed, got %a" msg R.pp_outcome o);
-  let out = contents () in
-  (match h.Apps.Harness.check ~reps out with
-   | Ok () -> ()
-   | Error e -> Alcotest.failf "%s: %s" msg e);
-  out
-
-(* Every app produces reference-correct and bit-identical output under
-   all four configurations: fusion and the unboxed plane are pure
-   optimizations. *)
-let test_apps_equivalent_across_configs () =
+  Alcotest.(check int) "default fuses the chain" 1
+    (Array.length (R.compiled_chains (R.compile g)));
   List.iter
-    (fun (h : Apps.Harness.t) ->
-      let baseline =
-        run_app_checked
-          (h.Apps.Harness.name ^ "/baseline")
-          h
-          ~config:(snd (List.nth fastpath_configs 3))
-          ~reps:2
-      in
-      List.iter
-        (fun (cname, config) ->
-          let label = Printf.sprintf "%s/%s" h.Apps.Harness.name cname in
-          let out = run_app_checked label h ~config ~reps:2 in
-          values_equal label baseline out)
-        fastpath_configs)
-    Apps.Harness.all
+    (fun (label, config) ->
+      Alcotest.(check int) (label ^ ": no chains") 0
+        (Array.length (R.compiled_chains (R.compile ~config g)));
+      let out = run_chain ~config g fallback_input in
+      floats_equal (label ^ " output") (expected_scaled factors fallback_input) out)
+    Cgsim.Run_config.[ "fuse-off", with_fuse false default; "reference", with_reference true default ]
+
+(* Fusion and reference mode are pure optimization switches: every run
+   mode must give bit-identical output. *)
+let modes =
+  Cgsim.Run_config.
+    [ "default", default; "fuse-off", with_fuse false default; "reference", with_reference true default ]
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence: randomized rate-matched SPSC chains (qcheck)          *)
 (* ------------------------------------------------------------------ *)
 
 (* One trial: derive a chain shape from a seeded Workloads.Prng, run it
-   under all four configurations, require bit-identical output. *)
+   under every mode, require bit-identical output. *)
 let random_chain_trial seed =
   let rng = Workloads.Prng.create ~seed in
   let n = Workloads.Prng.int_range rng ~lo:2 ~hi:5 in
@@ -389,13 +318,13 @@ let random_chain_trial seed =
       ~rate factors
   in
   let out_of (_, config) = run_chain ~config g input in
-  let baseline = out_of (List.hd fastpath_configs) in
+  let baseline = out_of (List.hd modes) in
   List.for_all
     (fun cfg ->
       let out = out_of cfg in
       Array.length out = Array.length baseline
       && Array.for_all2 Float.equal out baseline)
-    (List.tl fastpath_configs)
+    (List.tl modes)
 
 let qcheck_random_chains =
   QCheck.Test.make ~count:25 ~name:"random rate-matched chains: fused == unfused"
@@ -425,14 +354,10 @@ let () =
         ] );
       ( "fallback",
         [
-          Alcotest.test_case "bogus proposal" `Quick test_bogus_proposal_falls_back;
-          Alcotest.test_case "out-of-range proposal" `Quick test_out_of_range_proposal_falls_back;
-          Alcotest.test_case "fuse off ignores hook" `Quick test_fuse_off_ignores_hook;
+          Alcotest.test_case "fuse off / reference: unfused" `Quick test_unfused_modes;
         ] );
       ( "equivalence",
         [
-          Alcotest.test_case "apps x fast-path configs" `Quick
-            test_apps_equivalent_across_configs;
           QCheck_alcotest.to_alcotest qcheck_random_chains;
         ] );
     ]

@@ -187,12 +187,15 @@ let pipe_graph () =
       ignore (Cgsim.Builder.add_kernel b pass_kernel [ mid; out ]);
       [ out ])
 
+(* Fusion stays off: these tests observe the queue between the two pass
+   stages and one fiber per kernel. *)
 let traced_cgsim_run ?(n = 500) ?(queue_capacity = 8) () =
   Obs.Trace.with_session (fun () ->
       let sink, contents = Cgsim.Io.int_buffer () in
       let stats =
         Cgsim.Runtime.execute_exn
-          ~config:Cgsim.Run_config.(with_queue_capacity queue_capacity default)
+          ~config:
+            Cgsim.Run_config.(default |> with_fuse false |> with_queue_capacity queue_capacity)
           (pipe_graph ())
           ~sources:[ Cgsim.Io.of_int_array Cgsim.Dtype.I32 (Array.init n (fun i -> i)) ]
           ~sinks:[ sink ]

@@ -130,10 +130,12 @@ let test_deadline_on_divergent_graph () =
 let test_deadline_stalled_names_parked () =
   (* A stalled (not busy) pipeline: the stall fault spins one fiber on
      yield, everyone downstream parks on empty queues; the progress
-     snapshot must name them. *)
+     snapshot must name them.  Fusion stays off so each kernel keeps
+     its own fiber to park. *)
   let faults = Cgsim.Faults.(plan ~seed:3 [ stall_on ~kernel:"robust_scale_0" ~after:2 () ]) in
   let config =
-    Cgsim.Run_config.(default |> with_deadline_ms 50.0 |> with_faults faults)
+    Cgsim.Run_config.(
+      default |> with_fuse false |> with_deadline_ms 50.0 |> with_faults faults)
   in
   let sink = Cgsim.Io.null () in
   match

@@ -1,6 +1,6 @@
 (* Warm-instance serving tests: the compile-once / reset lifecycle must
    be observationally identical to fresh instantiation — across all four
-   evaluation apps, with the SPSC and block-IO fast paths on and off,
+   evaluation apps, by default and in reference mode,
    under deterministic fault injection, and after failed or
    fuel-exhausted runs — and pure-graph request batching must demultiplex
    outputs exactly as per-request execution would. *)
@@ -100,21 +100,14 @@ let run_checked msg (h : Apps.Harness.t) inst ~reps =
   out
 
 (* ------------------------------------------------------------------ *)
-(* Reset equivalence across apps and fast-path configurations         *)
+(* Reset equivalence across apps, by default and in reference mode     *)
 (* ------------------------------------------------------------------ *)
 
-let fastpath_configs =
-  Cgsim.Run_config.
-    [
-      "default", default;
-      "spsc-off", with_spsc false default;
-      "block-io-off", with_block_io false default;
-      "both-off", (default |> with_spsc false |> with_block_io false);
-    ]
+let modes = Cgsim.Run_config.[ "default", default; "reference", with_reference true default ]
 
-(* reset-and-rerun == fresh run, for every app under every fast-path
-   combination.  The first run after [new_instance] is the fresh
-   baseline; the post-reset run must match it bit for bit. *)
+(* reset-and-rerun == fresh run, for every app in both modes.  The first
+   run after [new_instance] is the fresh baseline; the post-reset run
+   must match it bit for bit. *)
 let test_reset_matches_fresh_all_apps () =
   List.iter
     (fun (h : Apps.Harness.t) ->
@@ -127,7 +120,7 @@ let test_reset_matches_fresh_all_apps () =
           R.reset inst;
           let warm = run_checked (label ^ " after reset") h inst ~reps:2 in
           values_equal label fresh warm)
-        fastpath_configs)
+        modes)
     Apps.Harness.all
 
 (* Many reset cycles on one instance: no drift, no resource leak into
@@ -253,11 +246,11 @@ let test_reset_after_max_steps () =
 
 let test_compiled_purity_and_analysis () =
   Alcotest.(check bool) "stateless chain is batching-safe" true
-    (Analysis.Pool_safety.batching_safe (pure_graph ()));
+    (Cgsim.Pool_safety.batching_safe (pure_graph ()));
   Alcotest.(check bool) "pure-but-stateful graph is not" false
-    (Analysis.Pool_safety.batching_safe (prefix_sum_graph ()));
+    (Cgsim.Pool_safety.batching_safe (prefix_sum_graph ()));
   Alcotest.(check bool) "unannotated graph is not" false
-    (Analysis.Pool_safety.batching_safe (opaque_graph ()));
+    (Cgsim.Pool_safety.batching_safe (opaque_graph ()));
   Alcotest.(check bool) "compiled_batchable agrees (stateless)" true
     (R.compiled_batchable (R.compile (pure_graph ())));
   Alcotest.(check bool) "compiled_pure but not batchable (prefix sum)" true
@@ -284,7 +277,7 @@ let test_compiled_purity_and_analysis () =
         | _ -> false
       in
       Alcotest.(check bool) (h.Apps.Harness.name ^ " batching-safe") expected
-        (Analysis.Pool_safety.batching_safe (h.Apps.Harness.graph ())))
+        (Cgsim.Pool_safety.batching_safe (h.Apps.Harness.graph ())))
     Apps.Harness.all
 
 (* ------------------------------------------------------------------ *)
@@ -429,12 +422,42 @@ let test_warm_reuse_counts () =
   Alcotest.(check int) "the rest are warm hits" (n_requests - stats.Cgsim.Pool.cold_builds)
     stats.Cgsim.Pool.warm_hits
 
+(* The warm cache keys on every config field compilation reads: a request
+   with auto_capacity on, after one with it off for the same graph, must
+   get its own capacity-raised artifact, not the under-buffered one. *)
+let test_cache_keys_auto_capacity () =
+  Cgsim.Pool.clear_warm_cache ();
+  let module G = Workloads.Sdf_gen in
+  let case = G.generate ~defect:G.Under_capacity ~seed:7 () in
+  let pool = Cgsim.Pool.create ~domains:1 () in
+  let serve auto =
+    let config =
+      Cgsim.Run_config.(
+        default |> with_lint `Off |> with_max_steps 10_000_000 |> with_auto_capacity auto)
+    in
+    let io _ =
+      let sink, _ = Cgsim.Io.f32_buffer () in
+      [ Cgsim.Io.of_f32_array case.G.c_input ], [ sink ]
+    in
+    (Cgsim.Pool.await (Cgsim.Pool.submit pool ~config ~io case.G.c_graph)).Cgsim.Pool.outcome
+  in
+  let plain = serve false in
+  let rescued = serve true in
+  Cgsim.Pool.shutdown pool;
+  (match plain with
+   | R.Completed s when s.Cgsim.Sched.cancelled = 0 ->
+     Alcotest.fail "under-buffered graph completed without auto_capacity"
+   | _ -> ());
+  match rescued with
+  | R.Completed s -> Alcotest.(check int) "auto_capacity run: no parked fiber" 0 s.Cgsim.Sched.cancelled
+  | o -> Alcotest.failf "auto_capacity run: expected Completed, got %a" R.pp_outcome o
+
 let () =
   Alcotest.run "warm"
     [
       ( "reset-equivalence",
         [
-          Alcotest.test_case "reset matches fresh (all apps, fast paths)" `Quick
+          Alcotest.test_case "reset matches fresh (all apps, both modes)" `Quick
             test_reset_matches_fresh_all_apps;
           Alcotest.test_case "many reset cycles" `Quick test_reset_many_cycles;
           Alcotest.test_case "second run without reset rejected" `Quick
@@ -461,5 +484,6 @@ let () =
             test_batching_requires_statelessness;
           Alcotest.test_case "unknown purity never batched" `Quick test_batching_requires_purity;
           Alcotest.test_case "warm reuse counts" `Quick test_warm_reuse_counts;
+          Alcotest.test_case "cache keys on auto_capacity" `Quick test_cache_keys_auto_capacity;
         ] );
     ]
