@@ -177,4 +177,19 @@ if grep -rnE 'Runtime\.set_[a-z_]+_hook' lib; then
 fi
 echo "no link-time behaviour"
 
+echo "== pool-owned state gate =="
+# Each Pool owns its warm cache, so what one pool serves never depends
+# on what another pool ran before it.  Keep it that way: no top-level
+# mutable binding in pool.ml, and no caller of the clear_warm_cache
+# no-op beyond its definition.
+if grep -nE "^let [a-z_][A-Za-z0-9_']*( *:[^=]*)? *= *(ref\b|Mutex\.create|Hashtbl\.create|Atomic\.make)" lib/cgsim/pool.ml; then
+  echo "ci: lib/cgsim/pool.ml has top-level mutable state" >&2
+  exit 1
+fi
+if grep -rn 'clear_warm_cache' lib bin bench test examples | grep -vE '^lib/cgsim/pool\.mli?:'; then
+  echo "ci: a caller uses Pool.clear_warm_cache" >&2
+  exit 1
+fi
+echo "no process-global pool state"
+
 echo "== ci passed =="

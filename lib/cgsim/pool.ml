@@ -58,106 +58,28 @@ let next_unit_float st =
 (* Warm-instance cache                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Compiled graphs and their reusable instances, keyed by graph identity
-   (physical — recompiling a structurally equal Serialized.t is exactly
-   what the cache exists to avoid, so callers are expected to hold on to
-   one) plus configuration compatibility.  Bounded two ways: at most
-   [cache_entries] distinct (graph, config) pairs, least-recently-used
-   evicted, and at most [instances_per_entry] idle instances parked per
+(* A pool's warm cache: compiled graphs and their reusable instances,
+   keyed by graph identity (physical — recompiling a structurally equal
+   Serialized.t is exactly what the cache exists to avoid, so callers are
+   expected to hold on to one) plus {!Run_config.same_compile_key}.
+   Bounded two ways: at most [cache_entries] distinct (graph, config)
+   pairs, kept most recently used first so an insert evicts from the
+   tail, and at most [instances_per_entry] idle instances parked per
    entry — a poisoned instance (reset failed) is simply dropped, which
    is the eviction path for broken state.  Compilation caching serves
    the cold path too (a cold config still resolves here); only the idle
-   instance list is warm-only. *)
-
-(* Run_config compatibility for cache keying: every field that
-   Runtime.compile, new_instance or an instance's run reads, and no
-   Pool-only field.  Scalar knobs compare structurally; hooks and fault
-   plans compare physically (closures have no structural equality — and
-   two distinct plans genuinely are different keys, since their shared
-   fire budgets are entry state). *)
-let config_key_equal (a : Run_config.t) (b : Run_config.t) =
-  a.Run_config.hooks == b.Run_config.hooks
-  && a.Run_config.queue_capacity = b.Run_config.queue_capacity
-  && a.Run_config.reference = b.Run_config.reference
-  && a.Run_config.lint = b.Run_config.lint
-  && a.Run_config.deadline_ns = b.Run_config.deadline_ns
-  && a.Run_config.max_steps = b.Run_config.max_steps
-  && a.Run_config.fuse = b.Run_config.fuse
-  && a.Run_config.auto_capacity = b.Run_config.auto_capacity
-  && (match a.Run_config.faults, b.Run_config.faults with
-      | None, None -> true
-      | Some x, Some y -> x == y
-      | _ -> false)
-
+   instance list is warm-only.  The entry list and every idle list are
+   guarded by the owning pool's [p_lock]. *)
 type cache_entry = {
   e_graph : Serialized.t;
   e_config : Run_config.t;
   e_compiled : Runtime.compiled;
-  e_lock : Mutex.t;
-  mutable e_free : Runtime.t list;  (* idle reset instances, under e_lock *)
-  mutable e_stamp : int;  (* LRU clock value of the last use *)
+  mutable e_free : Runtime.t list;  (* idle reset instances *)
 }
 
 let cache_entries = 8
 
 let instances_per_entry = 8
-
-let cache : cache_entry list ref = ref []
-
-let cache_lock = Mutex.create ()
-
-let cache_clock = ref 0
-
-let clear_warm_cache () =
-  Mutex.lock cache_lock;
-  cache := [];
-  Mutex.unlock cache_lock
-
-(* Find-or-compile under the cache lock.  Compilation (validation +
-   registry resolution + the one pre-flight lint whose verdict the entry
-   carries) happens at most once per entry; warm hits and retries never
-   re-lint.  May raise exactly as [Runtime.compile] does — the lock is
-   released first. *)
-let acquire_entry g config =
-  Mutex.lock cache_lock;
-  incr cache_clock;
-  let stamp = !cache_clock in
-  match
-    List.find_opt (fun e -> e.e_graph == g && config_key_equal e.e_config config) !cache
-  with
-  | Some e ->
-    e.e_stamp <- stamp;
-    Mutex.unlock cache_lock;
-    e
-  | None ->
-    Mutex.unlock cache_lock;
-    let compiled = Runtime.compile ~config g in
-    let entry =
-      {
-        e_graph = g;
-        e_config = config;
-        e_compiled = compiled;
-        e_lock = Mutex.create ();
-        e_free = [];
-        e_stamp = stamp;
-      }
-    in
-    Mutex.lock cache_lock;
-    let entries = entry :: !cache in
-    let entries =
-      if List.length entries <= cache_entries then entries
-      else begin
-        (* Evict the least recently used entry (and its idle instances). *)
-        let oldest =
-          List.fold_left (fun acc e -> if e.e_stamp < acc.e_stamp then e else acc)
-            (List.hd entries) entries
-        in
-        List.filter (fun e -> e != oldest) entries
-      end
-    in
-    cache := entries;
-    Mutex.unlock cache_lock;
-    entry
 
 (* ------------------------------------------------------------------ *)
 (* The persistent pool                                                 *)
@@ -190,6 +112,7 @@ type t = {
   p_lock : Mutex.t;
   p_cond : Condition.t;
   p_queues : pending Queue.t array;  (* per-domain FIFO, under p_lock *)
+  mutable p_cache : cache_entry list;  (* most recently used first, under p_lock *)
   mutable p_stop : bool;  (* no new submits; workers drain then exit *)
   mutable p_next_id : int;
   mutable p_queued : int;
@@ -221,6 +144,27 @@ type t = {
 }
 
 let handle_id h = h.h_id
+
+(* Find-or-compile.  Compilation (validation + registry resolution + the
+   one pre-flight lint whose verdict the entry carries) happens at most
+   once per entry and outside the lock; warm hits and retries never
+   re-lint.  May raise exactly as [Runtime.compile] does. *)
+let acquire_entry pool g config =
+  let matches e = e.e_graph == g && Run_config.same_compile_key e.e_config config in
+  Mutex.lock pool.p_lock;
+  match List.find_opt matches pool.p_cache with
+  | Some e ->
+    pool.p_cache <- e :: List.filter (fun x -> x != e) pool.p_cache;
+    Mutex.unlock pool.p_lock;
+    e
+  | None ->
+    Mutex.unlock pool.p_lock;
+    let compiled = Runtime.compile ~config g in
+    let e = { e_graph = g; e_config = config; e_compiled = compiled; e_free = [] } in
+    Mutex.lock pool.p_lock;
+    pool.p_cache <- List.filteri (fun i _ -> i < cache_entries) (e :: pool.p_cache);
+    Mutex.unlock pool.p_lock;
+    e
 
 let breaker_open pool =
   match pool.p_config.Run_config.breaker_threshold with
@@ -267,33 +211,39 @@ let record_result pool (p : pending) (res : request_result) =
    Release resets and parks the instance for the next request; an
    instance whose reset fails is dropped, never reused. *)
 let acquire pool (p : pending) =
-  match p.pr_entry with
-  | Some e ->
-    Mutex.lock e.e_lock;
-    (match e.e_free with
-     | inst :: rest ->
-       e.e_free <- rest;
-       Mutex.unlock e.e_lock;
-       Atomic.incr pool.p_warm_hits;
-       if !Obs.Trace.on then Obs.Trace.incr_metric "pool.warm_hit";
-       inst
-     | [] ->
-       Mutex.unlock e.e_lock;
-       Atomic.incr pool.p_cold_builds;
-       Runtime.new_instance p.pr_compiled)
+  let parked =
+    match p.pr_entry with
+    | None -> None
+    | Some e ->
+      Mutex.lock pool.p_lock;
+      let inst =
+        match e.e_free with
+        | inst :: rest ->
+          e.e_free <- rest;
+          Some inst
+        | [] -> None
+      in
+      Mutex.unlock pool.p_lock;
+      inst
+  in
+  match parked with
+  | Some inst ->
+    Atomic.incr pool.p_warm_hits;
+    if !Obs.Trace.on then Obs.Trace.incr_metric "pool.warm_hit";
+    inst
   | None ->
     Atomic.incr pool.p_cold_builds;
     Runtime.new_instance p.pr_compiled
 
-let release (p : pending) inst =
+let release pool (p : pending) inst =
   match p.pr_entry with
   | None -> ()
   | Some e ->
     (match Runtime.reset inst with
      | () ->
-       Mutex.lock e.e_lock;
+       Mutex.lock pool.p_lock;
        if List.length e.e_free < instances_per_entry then e.e_free <- inst :: e.e_free;
-       Mutex.unlock e.e_lock
+       Mutex.unlock pool.p_lock
      | exception _ -> () (* poisoned: evict by dropping *))
 
 (* First domain to observe the open circuit dumps its flight window:
@@ -385,7 +335,7 @@ let execute pool ~domain ~stolen (p : pending) =
           in
           (* Reset and park the instance for the next request; a raise
              above leaves it un-released (dropped), never reused. *)
-          release p t;
+          release pool p t;
           outcome
         with exn ->
           (* Wiring/instantiation raises (caller bugs) are captured so
@@ -489,7 +439,7 @@ let execute_batch pool ~domain (ps : pending list) =
     let t = acquire pool p0 in
     match Runtime.run t ~sources ~sinks:(List.map fst collectors) with
     | Runtime.Completed _ as outcome ->
-      release p0 t;
+      release pool p0 t;
       let outputs =
         List.map (fun (_, contents) -> Array.of_list (contents ())) collectors
       in
@@ -523,7 +473,7 @@ let execute_batch pool ~domain (ps : pending list) =
         true
       end
     | _other ->
-      release p0 t;
+      release pool p0 t;
       false
     | exception _ -> false (* instance dropped; individual path decides *)
   end
@@ -628,6 +578,7 @@ let create ?(config = Run_config.default) ~domains () =
       p_lock = Mutex.create ();
       p_cond = Condition.create ();
       p_queues = Array.init domains (fun _ -> Queue.create ());
+      p_cache = [];
       p_stop = false;
       p_next_id = 0;
       p_queued = 0;
@@ -662,7 +613,7 @@ let submit pool ?config ?not_before_ns ?on_complete ~io (g : Serialized.t) =
   let config = Option.value config ~default:pool.p_config in
   (* Compile (or fetch the cached artifact) before queueing: compile
      errors are caller bugs and raise here, never from a worker. *)
-  let entry = acquire_entry g config in
+  let entry = acquire_entry pool g config in
   let pr_entry = if config.Run_config.warm then Some entry else None in
   let pr_batchable =
     config.Run_config.batch > 1
@@ -765,6 +716,10 @@ let shutdown pool =
     Condition.broadcast pool.p_cond;
     Mutex.unlock pool.p_lock;
     Array.iter Domain.join pool.p_workers;
+    (* Idle instances never outlive their pool. *)
+    Mutex.lock pool.p_lock;
+    pool.p_cache <- [];
+    Mutex.unlock pool.p_lock;
     Gc.set pool.p_gc
   end
 
@@ -822,3 +777,5 @@ let run ?(config = Run_config.default) ?arrivals ~domains ~requests ~io (g : Ser
   }
 
 let metrics_exposition s = Obs.Prom.of_snapshot s.metrics
+
+let clear_warm_cache () = ()

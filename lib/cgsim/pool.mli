@@ -20,11 +20,13 @@
 
     {b Warm serving} (default, [config.warm]): the graph is
     {!Runtime.compile}d once — validation, registry resolution and the
-    pre-flight lint verdict live in a bounded process-wide cache keyed
-    by graph identity + config compatibility (LRU-evicted; see
-    {!clear_warm_cache}) — and served requests draw {!Runtime.reset}
-    instances from the entry's idle pool instead of rebuilding queues
-    and wiring per attempt.  An instance whose reset fails is dropped.
+    pre-flight lint verdict live in the pool's own cache, keyed by graph
+    identity + {!Run_config.same_compile_key} and bounded to 8 entries
+    (least recently used evicted) — and served requests draw
+    {!Runtime.reset} instances from the entry's idle list (at most 8)
+    instead of rebuilding queues and wiring per attempt.  An instance
+    whose reset fails is dropped.  A new pool starts cold, and
+    {!shutdown} drops the cache, so no instance outlives its pool.
     [config.warm = false] forces the cold path: a fresh instance per
     attempt (the compiled artifact is still cached, instances are not).
 
@@ -125,9 +127,9 @@ val create : ?config:Run_config.t -> domains:int -> unit -> t
     must be re-buildable if the config enables retries).
 
     [?config] overrides the pool default for this request (e.g. a
-    per-request deadline or seed); graph compilation is cached per
-    (graph, config-compatibility) pair, so a handful of distinct configs
-    serve warm.  [?not_before_ns] is an absolute {!Obs.Clock.now_ns}
+    per-request deadline or seed); the pool caches graph compilation
+    per (graph, {!Run_config.same_compile_key}) pair, so a handful of
+    distinct configs serve warm.  [?not_before_ns] is an absolute {!Obs.Clock.now_ns}
     instant: the executing domain waits it out before starting, and
     [req_latency_ns] counts from it (open-loop latency semantics).
     [?on_complete] runs on the executing domain right after the result
@@ -184,8 +186,8 @@ val served : t -> int
 val metrics : t -> Obs.Metrics.snapshot
 
 (** Stop accepting new submissions, finish every queued and in-flight
-    request, join the worker domains.  Idempotent.  Handles submitted
-    before the call remain awaitable afterwards. *)
+    request, join the worker domains, drop the warm cache.  Idempotent.
+    Handles submitted before the call remain awaitable afterwards. *)
 val shutdown : t -> unit
 
 (** {1 Batch runs} *)
@@ -239,7 +241,7 @@ val run :
     {!Obs.Prom}. *)
 val metrics_exposition : stats -> string
 
-(** Drop every cached compiled graph and idle warm instance.  Mainly for
-    tests and benchmarks that compare warm against genuinely cold
-    serving; production callers never need it (the cache is bounded). *)
+(** Does nothing.  Each pool owns its warm cache and starts cold, so
+    there is no shared cache to clear; the function is kept only because
+    the benchmark driver ([perfbench/churn.ml]) still calls it. *)
 val clear_warm_cache : unit -> unit

@@ -31,6 +31,29 @@ type t = {
   auto_capacity : bool;
 }
 
+(* The fields that shape a compiled artifact: everything Runtime.compile,
+   new_instance or an instance's run reads.  The other seven are read only
+   by Pool, so two configs that differ only there share one artifact.
+   Hooks and fault plans compare physically (closures have no structural
+   equality, and two distinct plans genuinely differ: their shared fire
+   budgets are state).  The full pattern makes a new field a compile
+   warning here until it is placed on one side or the other. *)
+let same_compile_key a b =
+  let { hooks; queue_capacity; reference; lint; deadline_ns; max_steps; fuse; auto_capacity;
+        faults; retries = _; retry_base_ns = _; retry_cap_ns = _; breaker_threshold = _;
+        seed = _; warm = _; batch = _ } =
+    a
+  in
+  hooks == b.hooks
+  && queue_capacity = b.queue_capacity
+  && reference = b.reference
+  && lint = b.lint
+  && deadline_ns = b.deadline_ns
+  && max_steps = b.max_steps
+  && fuse = b.fuse
+  && auto_capacity = b.auto_capacity
+  && Option.equal ( == ) faults b.faults
+
 let default =
   {
     hooks = Hooks.none;

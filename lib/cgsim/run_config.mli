@@ -72,6 +72,16 @@ type t = {
 
 val default : t
 
+(** [same_compile_key a b] holds when [a] and [b] yield the same
+    compiled artifact, so {!Pool} may serve both from one cache entry.
+    It compares the nine fields that {!Runtime.compile},
+    {!Runtime.new_instance} or a run read: [hooks] and [faults]
+    physically, [queue_capacity], [reference], [lint], [deadline_ns],
+    [max_steps], [fuse] and [auto_capacity] structurally.  The
+    {!Pool}-only fields ([retries], [retry_base_ns], [retry_cap_ns],
+    [breaker_threshold], [seed], [warm], [batch]) are ignored. *)
+val same_compile_key : t -> t -> bool
+
 val with_hooks : Hooks.t -> t -> t
 val with_queue_capacity : int -> t -> t
 val with_reference : bool -> t -> t

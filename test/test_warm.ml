@@ -310,7 +310,6 @@ let check_scaled_outputs msg (stats : Cgsim.Pool.stats) bufs =
    through a multiplexed warm run and each demuxed output slice is
    exactly what per-request execution produces. *)
 let test_batching_demux () =
-  Cgsim.Pool.clear_warm_cache ();
   let g = pure_graph () in
   let bufs = Array.make n_requests (fun () -> [||]) in
   let config = Cgsim.Run_config.(with_batch 4 default) in
@@ -337,7 +336,6 @@ let test_batching_demux () =
 (* Mismatched request lengths make a batch ineligible: the pool falls
    back to individual execution and still answers every request. *)
 let test_batching_fallback_on_ragged_lengths () =
-  Cgsim.Pool.clear_warm_cache ();
   let g = pure_graph () in
   let inputs = Array.init n_requests (fun r -> Array.init (4 + r) float_of_int) in
   let bufs = Array.make n_requests (fun () -> [||]) in
@@ -363,7 +361,6 @@ let test_batching_fallback_on_ragged_lengths () =
 (* A pure-but-stateful graph (prefix sum) must not be batched: each
    request's running sum has to start from zero. *)
 let test_batching_requires_statelessness () =
-  Cgsim.Pool.clear_warm_cache ();
   let g = prefix_sum_graph () in
   let bufs = Array.make n_requests (fun () -> [||]) in
   let config = Cgsim.Run_config.(with_batch 4 default) in
@@ -392,7 +389,6 @@ let test_batching_requires_statelessness () =
 (* A graph whose kernels never declared purity must not be batched even
    when the caller asks for it. *)
 let test_batching_requires_purity () =
-  Cgsim.Pool.clear_warm_cache ();
   let g = opaque_graph () in
   let bufs = Array.make n_requests (fun () -> [||]) in
   let config = Cgsim.Run_config.(with_batch 4 default) in
@@ -413,7 +409,6 @@ let test_batching_requires_purity () =
 (* Warm pool reuse across requests: after the first build per domain,
    requests are served from reset instances. *)
 let test_warm_reuse_counts () =
-  Cgsim.Pool.clear_warm_cache ();
   let g = pure_graph () in
   let bufs = Array.make n_requests (fun () -> [||]) in
   let stats = Cgsim.Pool.run ~domains:1 ~requests:n_requests ~io:(pool_io bufs) g in
@@ -426,7 +421,6 @@ let test_warm_reuse_counts () =
    with auto_capacity on, after one with it off for the same graph, must
    get its own capacity-raised artifact, not the under-buffered one. *)
 let test_cache_keys_auto_capacity () =
-  Cgsim.Pool.clear_warm_cache ();
   let module G = Workloads.Sdf_gen in
   let case = G.generate ~defect:G.Under_capacity ~seed:7 () in
   let pool = Cgsim.Pool.create ~domains:1 () in
@@ -451,6 +445,94 @@ let test_cache_keys_auto_capacity () =
   match rescued with
   | R.Completed s -> Alcotest.(check int) "auto_capacity run: no parked fiber" 0 s.Cgsim.Sched.cancelled
   | o -> Alcotest.failf "auto_capacity run: expected Completed, got %a" R.pp_outcome o
+
+(* ------------------------------------------------------------------ *)
+(* Pool-owned cache and its compile key                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Each pool owns its warm cache: a second pool over the same graph
+   builds its first instance afresh instead of inheriting the idle
+   instances the first pool parked. *)
+let test_fresh_pool_starts_cold () =
+  let g = pure_graph () in
+  let serve () =
+    let bufs = Array.make n_requests (fun () -> [||]) in
+    let stats = Cgsim.Pool.run ~domains:1 ~requests:n_requests ~io:(pool_io bufs) g in
+    check_scaled_outputs "served" stats bufs;
+    stats
+  in
+  let first = serve () in
+  let second = serve () in
+  Alcotest.(check int) "first pool: one cold build" 1 first.Cgsim.Pool.cold_builds;
+  Alcotest.(check int) "second pool: one cold build" 1 second.Cgsim.Pool.cold_builds;
+  Alcotest.(check int) "second pool: the rest warm" (n_requests - 1) second.Cgsim.Pool.warm_hits
+
+(* Every Run_config field, flipped away from [key_base], and whether it
+   shapes the compiled artifact.  Each of the 16 fields appears once. *)
+let key_base = Cgsim.Run_config.(default |> with_lint `Off |> with_max_steps 10_000_000)
+
+let field_flips =
+  let open Cgsim.Run_config in
+  [
+    "hooks", true, with_hooks { Cgsim.Hooks.none with around_body = (fun _ body -> body) };
+    "queue_capacity", true, with_queue_capacity 64;
+    "reference", true, with_reference true;
+    "lint", true, with_lint `Warn;
+    "deadline_ns", true, with_deadline_ms 60_000.;
+    "max_steps", true, with_max_steps 20_000_000;
+    "fuse", true, with_fuse false;
+    "auto_capacity", true, with_auto_capacity true;
+    "faults", true, with_faults (Cgsim.Faults.plan []);
+    "retries", false, with_retries 3;
+    "retry_base_ns", false, (fun c -> with_backoff ~base_ns:5e5 c);
+    "retry_cap_ns", false, (fun c -> with_backoff ~cap_ns:5e7 c);
+    "breaker_threshold", false, with_breaker 2;
+    "seed", false, with_seed 99;
+    "warm", false, with_warm false;
+    "batch", false, with_batch 4;
+  ]
+
+(* Runtime.compile + run of one workload: outcome label and outputs. *)
+let run_sdf_under_capacity config =
+  let module G = Workloads.Sdf_gen in
+  let case = G.generate ~defect:G.Under_capacity ~seed:7 () in
+  let sink, contents = Cgsim.Io.buffer () in
+  let inst = R.new_instance (R.compile ~config case.G.c_graph) in
+  let o = R.run inst ~sources:[ Cgsim.Io.of_f32_array case.G.c_input ] ~sinks:[ sink ] in
+  R.outcome_label o, contents ()
+
+let run_bitonic config =
+  let h = Apps.Harness.bitonic in
+  let sinks, contents = h.Apps.Harness.make_sinks () in
+  let inst = R.new_instance (R.compile ~config (h.Apps.Harness.graph ())) in
+  let o = R.run inst ~sources:(h.Apps.Harness.sources ~reps:2) ~sinks in
+  R.outcome_label o, contents ()
+
+(* A key field must change the compile key; a Pool-only field must keep
+   it and leave Runtime.compile + run bit-identical. *)
+let test_compile_key_per_field () =
+  Alcotest.(check int) "all 16 fields flipped" 16 (List.length field_flips);
+  Alcotest.(check int) "each field once" 16
+    (List.length (List.sort_uniq compare (List.map (fun (n, _, _) -> n) field_flips)));
+  let workloads = [ "sdf under-capacity seed 7", run_sdf_under_capacity; "bitonic", run_bitonic ] in
+  let baselines = List.map (fun (w, run) -> w, run, run key_base) workloads in
+  List.iter
+    (fun (name, shapes_artifact, flip) ->
+      let flipped = flip key_base in
+      let same = Cgsim.Run_config.same_compile_key key_base flipped in
+      if shapes_artifact then Alcotest.(check bool) (name ^ " changes the key") false same
+      else begin
+        Alcotest.(check bool) (name ^ " changes the config") true (compare flipped key_base <> 0);
+        Alcotest.(check bool) (name ^ " keeps the key") true same;
+        List.iter
+          (fun (w, run, (label, outputs)) ->
+            let label', outputs' = run flipped in
+            let msg = Printf.sprintf "%s flipped, %s" name w in
+            Alcotest.(check string) (msg ^ ": outcome") label label';
+            values_equal msg outputs outputs')
+          baselines
+      end)
+    field_flips
 
 let () =
   Alcotest.run "warm"
@@ -485,5 +567,10 @@ let () =
           Alcotest.test_case "unknown purity never batched" `Quick test_batching_requires_purity;
           Alcotest.test_case "warm reuse counts" `Quick test_warm_reuse_counts;
           Alcotest.test_case "cache keys on auto_capacity" `Quick test_cache_keys_auto_capacity;
+        ] );
+      ( "pool-cache",
+        [
+          Alcotest.test_case "a fresh pool starts cold" `Quick test_fresh_pool_starts_cold;
+          Alcotest.test_case "compile key per field" `Quick test_compile_key_per_field;
         ] );
     ]
